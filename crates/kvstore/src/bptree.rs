@@ -12,7 +12,16 @@ use std::fmt::Debug;
 /// Maximum number of keys a node holds before it splits.
 const MAX_KEYS: usize = 31;
 
+/// Keys in each half of a split leaf (and the fewest the last leaf of an ascending
+/// load holds once there are two leaves).
+const LEAF_FILL: usize = MAX_KEYS.div_ceil(2);
+
+/// Children kept by the left half of a split internal node; the right half keeps
+/// `MAX_KEYS + 2 - INTERNAL_FILL`, which equals `LEAF_FILL`.
+const INTERNAL_FILL: usize = LEAF_FILL + 1;
+
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 enum Node<K, V> {
     Leaf {
         keys: Vec<K>,
@@ -169,6 +178,22 @@ impl<K: Ord + Clone, V> Node<K, V> {
     }
 }
 
+/// Sizes of the nodes that ascending inserts split `total` entries of one level into:
+/// `full` each, except the last, which keeps the rest (`LEAF_FILL..LEAF_FILL + full`
+/// once the level has two nodes).  Splitting a leaf leaves `LEAF_FILL` keys on each
+/// side and splitting an internal node leaves `full` children on the left and
+/// `LEAF_FILL` on the right; later inserts only grow the rightmost node.
+fn node_sizes(total: usize, full: usize) -> impl Iterator<Item = usize> {
+    let nodes = total.saturating_sub(LEAF_FILL) / full + 1;
+    (1..=nodes).map(move |i| {
+        if i < nodes {
+            full
+        } else {
+            total - full * (nodes - 1)
+        }
+    })
+}
+
 /// An ordered map implemented as a B+-tree.
 ///
 /// # Example
@@ -204,6 +229,76 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
             root: Node::new_leaf(),
             len: 0,
         }
+    }
+
+    /// Builds a tree bottom-up from strictly ascending `keys` and their `values`.
+    ///
+    /// The result is node for node the tree that inserting the pairs one at a time in
+    /// ascending order builds, so its depth (and anything derived from it) is the
+    /// same: every leaf holds 16 keys except the last, which holds 16–31; every
+    /// internal node holds 17 children except the last, which holds 16–32; each
+    /// separator is the minimum key of the subtree to its right.  Nodes are allocated
+    /// at their exact size rather than grown and split.
+    ///
+    /// # Errors
+    ///
+    /// Returns the inputs unchanged if the keys are not strictly ascending (unsorted
+    /// or duplicated) or the two vectors differ in length.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use tailbench_kvstore::bptree::BPlusTree;
+    ///
+    /// let tree = BPlusTree::from_sorted(vec![1u64, 2, 3], vec!["a", "b", "c"]).unwrap();
+    /// assert_eq!(tree.get(&2), Some(&"b"));
+    /// assert!(BPlusTree::from_sorted(vec![2u64, 1], vec!["b", "a"]).is_err());
+    /// ```
+    #[allow(clippy::type_complexity)]
+    pub fn from_sorted(keys: Vec<K>, values: Vec<V>) -> Result<Self, (Vec<K>, Vec<V>)> {
+        if keys.len() != values.len() || keys.windows(2).any(|w| w[0] >= w[1]) {
+            return Err((keys, values));
+        }
+        let len = keys.len();
+        // One level of the tree: each node with the minimum key of its subtree.
+        let mut level = Vec::with_capacity(len / LEAF_FILL + 1);
+        let (mut keys, mut values) = (keys.into_iter(), values.into_iter());
+        for size in node_sizes(len, LEAF_FILL) {
+            let leaf_keys: Vec<K> = keys.by_ref().take(size).collect();
+            let leaf_values: Vec<V> = values.by_ref().take(size).collect();
+            if let Some(min) = leaf_keys.first().cloned() {
+                level.push((
+                    min,
+                    Node::Leaf {
+                        keys: leaf_keys,
+                        values: leaf_values,
+                    },
+                ));
+            }
+        }
+        while level.len() > 1 {
+            let count = level.len();
+            let mut below = level.into_iter();
+            level = Vec::with_capacity(count / INTERNAL_FILL + 1);
+            for size in node_sizes(count, INTERNAL_FILL) {
+                let mut group = below.by_ref().take(size);
+                if let Some((min, first)) = group.next() {
+                    let mut keys = Vec::with_capacity(size - 1);
+                    let mut children = Vec::with_capacity(size);
+                    children.push(first);
+                    for (sep, child) in group {
+                        keys.push(sep);
+                        children.push(child);
+                    }
+                    level.push((min, Node::Internal { keys, children }));
+                }
+            }
+        }
+        let root = level
+            .into_iter()
+            .next()
+            .map_or_else(Node::new_leaf, |(_, node)| node);
+        Ok(BPlusTree { root, len })
     }
 
     /// Number of entries.
@@ -428,6 +523,48 @@ mod tests {
         }
     }
 
+    /// The tree `n` ascending one-by-one inserts of `key * stride` build.
+    pub(super) fn ascending(n: u64, stride: u64) -> BPlusTree<u64, u64> {
+        let mut t = BPlusTree::new();
+        for k in 0..n {
+            t.insert(k * stride, k);
+        }
+        t
+    }
+
+    /// The same pairs bulk-loaded.
+    pub(super) fn bulk(n: u64, stride: u64) -> BPlusTree<u64, u64> {
+        BPlusTree::from_sorted((0..n).map(|k| k * stride).collect(), (0..n).collect())
+            .expect("ascending keys are accepted")
+    }
+
+    #[test]
+    fn from_sorted_matches_ascending_inserts_node_for_node() {
+        // Around the leaf split (31/32/33, 47/48/49), the first internal split
+        // (527/528: 32/33 leaves, 545) and the kv store's small, smoke and full shards.
+        for n in [
+            0, 1, 31, 32, 33, 47, 48, 49, 527, 528, 545, 6_250, 62_500, 100_003,
+        ] {
+            let (want, got) = (ascending(n, 1), bulk(n, 1));
+            assert!(got.root == want.root, "n = {n}: node layouts differ");
+            assert_eq!(got.len(), want.len(), "n = {n}");
+            assert_eq!(got.depth(), want.depth(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn from_sorted_rejects_unsorted_and_duplicate_keys() {
+        let (keys, values) =
+            BPlusTree::from_sorted(vec![1u64, 3, 2], vec!['a', 'c', 'b']).unwrap_err();
+        assert_eq!(keys, [1, 3, 2], "rejected inputs come back unchanged");
+        assert_eq!(values, ['a', 'c', 'b']);
+        assert!(BPlusTree::from_sorted(vec![1u64, 2, 2], vec![0, 0, 0]).is_err());
+        assert!(BPlusTree::from_sorted(vec![1u64, 2], vec![0]).is_err());
+        assert!(BPlusTree::<u64, u8>::from_sorted(Vec::new(), Vec::new())
+            .unwrap()
+            .is_empty());
+    }
+
     #[test]
     fn reverse_and_random_order_inserts_agree_with_btreemap() {
         use std::collections::BTreeMap;
@@ -471,6 +608,24 @@ mod proptests {
     }
 
     proptest! {
+        /// A bulk load is the tree ascending inserts build, for any size and key
+        /// spacing, and it then behaves like it under further inserts.
+        #[test]
+        fn from_sorted_matches_ascending_inserts(
+            n in 0u64..4_000,
+            stride in 1u64..4,
+            extra in prop::collection::vec(any::<u16>(), 0..64),
+        ) {
+            let (mut want, mut got) =
+                (super::tests::ascending(n, stride), super::tests::bulk(n, stride));
+            prop_assert!(got.root == want.root);
+            for k in extra {
+                prop_assert_eq!(got.insert(u64::from(k), 0), want.insert(u64::from(k), 0));
+            }
+            prop_assert!(got.root == want.root);
+            prop_assert_eq!(got.len(), want.len());
+        }
+
         #[test]
         fn behaves_like_btreemap(ops in prop::collection::vec(op_strategy(), 1..400)) {
             let mut tree = BPlusTree::new();

@@ -91,11 +91,8 @@ impl MasstreeApp {
     /// Builds the store and preloads it with the workload's records.
     #[must_use]
     pub fn new(config: &YcsbConfig) -> Self {
-        let store = KvStore::new(16, config.records);
         let generator = YcsbGenerator::new(config.clone());
-        for (key, value) in generator.load_keys() {
-            store.put(key, value);
-        }
+        let store = KvStore::from_sorted(16, config.records, generator.load_keys());
         MasstreeApp {
             store,
             value_size: config.value_size,
@@ -147,10 +144,10 @@ impl ServerApp for MasstreeApp {
     }
 
     fn handle(&self, payload: &[u8]) -> Response {
-        let Some(op) = codec::decode(payload) else {
+        let Some(mut op) = codec::decode(payload) else {
             return Response::new(vec![0xFF]);
         };
-        let (result, touched) = match &op {
+        let (result, touched) = match &mut op {
             KvOp::Get { key } => match self.store.get(*key) {
                 Some(value) => {
                     let mut out = vec![1u8];
@@ -160,7 +157,9 @@ impl ServerApp for MasstreeApp {
                 None => (vec![0u8], 1),
             },
             KvOp::Put { key, value } => {
-                let existed = self.store.put(*key, value.clone());
+                // The decoded value moves into the store; the cost model below only
+                // reads the operation's kind.
+                let existed = self.store.put(*key, std::mem::take(value));
                 (vec![u8::from(existed)], 1)
             }
             KvOp::Scan { key, count } => {
@@ -255,6 +254,42 @@ mod tests {
         );
         let get = app.handle(&codec::encode(&KvOp::Get { key: 3 }));
         assert_eq!(&get.payload[1..], &[9, 9, 9]);
+    }
+
+    #[test]
+    fn preloaded_depth_is_pinned_at_every_scale() {
+        // The depth feeds every request's WorkProfile, so the simulated costs of the
+        // small (10k records), smoke (100k) and full (1M) tables rest on it.
+        for (records, depth) in [(10_000, 3), (100_000, 3), (1_000_000, 4)] {
+            let app = MasstreeApp::new(&YcsbConfig {
+                records,
+                ..YcsbConfig::default()
+            });
+            assert_eq!(app.store().max_depth(), depth, "{records} records");
+            assert_eq!(app.store().walked_max_depth(), depth, "{records} records");
+            assert_eq!(app.store().len() as u64, records);
+        }
+    }
+
+    #[test]
+    fn depth_tracks_root_splits_from_new_key_puts() {
+        let app = small_app();
+        assert_eq!(app.store().max_depth(), 3);
+        // Ascending keys past the table all land in the last shard; about 8.3k of
+        // them split its root.
+        for key in 10_000..19_000u64 {
+            let put = KvOp::Put {
+                key,
+                value: vec![1],
+            };
+            assert_eq!(
+                app.handle(&codec::encode(&put)).payload,
+                [0],
+                "key {key} is new"
+            );
+            assert_eq!(app.store().max_depth(), app.store().walked_max_depth());
+        }
+        assert_eq!(app.store().max_depth(), 4);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::bptree::BPlusTree;
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A sharded, ordered, concurrent key-value store mapping `u64` keys to byte values.
 #[derive(Debug)]
@@ -15,6 +16,9 @@ pub struct KvStore {
     shards: Vec<RwLock<BPlusTree<u64, Vec<u8>>>>,
     /// Size of each contiguous key range assigned to one shard.
     range_per_shard: u64,
+    /// Deepest shard's depth.  Trees never shrink, so raising it after every insert
+    /// of a new key keeps it equal to a walk over all shards.
+    depth: AtomicUsize,
 }
 
 impl KvStore {
@@ -31,6 +35,66 @@ impl KvStore {
         KvStore {
             shards: (0..shards).map(|_| RwLock::new(BPlusTree::new())).collect(),
             range_per_shard,
+            depth: AtomicUsize::new(1),
+        }
+    }
+
+    /// Creates a store like [`KvStore::new`] and loads `entries` into it, with the
+    /// same contents and shard trees as calling [`KvStore::put`] for each entry in
+    /// order.
+    ///
+    /// Entries are streamed: each run of consecutive entries for one shard is built
+    /// as soon as the run ends, through exclusive access rather than the shard's
+    /// lock.  A strictly ascending run into an empty shard is bulk-loaded with
+    /// [`BPlusTree::from_sorted`]; any other run is inserted key by key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards == 0`.
+    #[must_use]
+    pub fn from_sorted(
+        shards: usize,
+        capacity_hint: u64,
+        entries: impl IntoIterator<Item = (u64, Vec<u8>)>,
+    ) -> Self {
+        let mut store = Self::new(shards, capacity_hint);
+        let mut run = None;
+        let (mut keys, mut values) = (Vec::new(), Vec::new());
+        for (key, value) in entries {
+            let shard = store.shard_for(key);
+            if run != Some(shard) {
+                store.load_run(run, &mut keys, &mut values);
+                run = Some(shard);
+            }
+            keys.push(key);
+            values.push(value);
+        }
+        store.load_run(run, &mut keys, &mut values);
+        let depth = store.shards.iter_mut().map(|s| s.get_mut().depth()).max();
+        *store.depth.get_mut() = depth.unwrap_or(1);
+        store
+    }
+
+    /// Moves one shard's run of entries into that shard (see [`KvStore::from_sorted`]).
+    fn load_run(&mut self, shard: Option<usize>, keys: &mut Vec<u64>, values: &mut Vec<Vec<u8>>) {
+        // The next run is likely as long as this one.
+        let mut keys = std::mem::replace(keys, Vec::with_capacity(keys.len()));
+        let mut values = std::mem::replace(values, Vec::with_capacity(values.len()));
+        let Some(tree) = shard.and_then(|s| self.shards.get_mut(s)) else {
+            return;
+        };
+        let tree = tree.get_mut();
+        if tree.is_empty() {
+            match BPlusTree::from_sorted(keys, values) {
+                Ok(built) => {
+                    *tree = built;
+                    return;
+                }
+                Err(rejected) => (keys, values) = rejected,
+            }
+        }
+        for (key, value) in keys.into_iter().zip(values) {
+            tree.insert(key, value);
         }
     }
 
@@ -46,10 +110,13 @@ impl KvStore {
 
     /// Inserts or overwrites a key. Returns `true` if the key already existed.
     pub fn put(&self, key: u64, value: Vec<u8>) -> bool {
-        self.shards[self.shard_for(key)]
-            .write()
-            .insert(key, value)
-            .is_some()
+        let mut shard = self.shards[self.shard_for(key)].write();
+        let existed = shard.insert(key, value).is_some();
+        // Only a new key can split nodes and deepen the tree.
+        if !existed {
+            self.depth.fetch_max(shard.depth(), Ordering::Relaxed);
+        }
+        existed
     }
 
     /// Reads a key.
@@ -94,6 +161,12 @@ impl KvStore {
     /// Maximum B+-tree depth across shards (a proxy for per-request pointer chases).
     #[must_use]
     pub fn max_depth(&self) -> usize {
+        self.depth.load(Ordering::Relaxed)
+    }
+
+    /// [`KvStore::max_depth`] recomputed by walking every shard under its lock.
+    #[cfg(test)]
+    pub(crate) fn walked_max_depth(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.read().depth())
@@ -164,6 +237,44 @@ mod tests {
         for key in [0u64, 2_499, 2_500, 9_999] {
             assert_eq!(store.get(key), Some(key.to_le_bytes().to_vec()));
         }
+    }
+
+    fn put_loop(entries: &[(u64, Vec<u8>)]) -> KvStore {
+        let store = KvStore::new(4, 1_000);
+        for (key, value) in entries {
+            store.put(*key, value.clone());
+        }
+        store
+    }
+
+    fn assert_same_contents(got: &KvStore, want: &KvStore) {
+        assert_eq!(got.len(), want.len());
+        assert_eq!(got.scan(0, usize::MAX), want.scan(0, usize::MAX));
+        assert_eq!(got.max_depth(), want.max_depth());
+        assert_eq!(got.max_depth(), got.walked_max_depth());
+    }
+
+    #[test]
+    fn from_sorted_equals_a_put_loop() {
+        let entries: Vec<(u64, Vec<u8>)> = (0..1_000u64).map(|k| (k, vec![k as u8])).collect();
+        let store = KvStore::from_sorted(4, 1_000, entries.clone());
+        assert_same_contents(&store, &put_loop(&entries));
+        assert_eq!(store.max_depth(), 2, "250 keys per shard need two levels");
+    }
+
+    #[test]
+    fn from_sorted_falls_back_to_inserts_for_out_of_order_entries() {
+        let mut entries: Vec<(u64, Vec<u8>)> = (0..1_000u64).map(|k| (k, vec![k as u8])).collect();
+        // One key out of order inside shard 1's run, then a duplicate of a shard-0 key
+        // after shard 0's run has closed, and a key past the capacity hint.
+        entries.swap(300, 420);
+        entries.push((7, vec![70]));
+        entries.push((5_000, vec![50]));
+        let store = KvStore::from_sorted(4, 1_000, entries.clone());
+        assert_same_contents(&store, &put_loop(&entries));
+        assert_eq!(store.get(7), Some(vec![70]), "the later write wins");
+        assert_eq!(store.len(), 1_001);
+        assert!(KvStore::from_sorted(4, 1_000, Vec::new()).is_empty());
     }
 
     #[test]

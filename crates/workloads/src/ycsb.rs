@@ -155,18 +155,23 @@ impl YcsbGenerator {
     }
 
     /// The keys (and deterministic values) to preload before measurement.
+    ///
+    /// Keys are `0..records`, yielded strictly ascending, so a store can bulk-load
+    /// them in order.
     pub fn load_keys(&self) -> impl Iterator<Item = (u64, Vec<u8>)> + '_ {
         (0..self.config.records).map(move |k| (k, self.value_for(k)))
     }
 
-    /// Deterministic value payload for a key (used by loading and by PUTs).
+    /// Deterministic value payload for a key (used by loading and by PUTs): byte `i`
+    /// is `31 * key + 7 * i` modulo 256.
     #[must_use]
     pub fn value_for(&self, key: u64) -> Vec<u8> {
-        let mut v = vec![0u8; self.config.value_size];
-        for (i, b) in v.iter_mut().enumerate() {
-            *b = ((key as usize).wrapping_mul(31).wrapping_add(i * 7) & 0xFF) as u8;
-        }
-        v
+        // Only the low byte of each product matters, so the whole value is computed
+        // in wrapping `u8` arithmetic.
+        let base = (key as u8).wrapping_mul(31);
+        (0..self.config.value_size)
+            .map(|i| base.wrapping_add((i as u8).wrapping_mul(7)))
+            .collect()
     }
 
     /// Draws the next operation.
@@ -264,6 +269,28 @@ mod tests {
         assert_eq!(gen.value_for(42), gen.value_for(42));
         assert_ne!(gen.value_for(42), gen.value_for(43));
         assert_eq!(gen.value_for(7).len(), gen.config().value_size);
+    }
+
+    #[test]
+    fn value_for_matches_the_reference_formula() {
+        // 300 bytes so the byte index itself wraps past 255.
+        let gen = YcsbGenerator::new(YcsbConfig {
+            value_size: 300,
+            ..YcsbConfig::small()
+        });
+        for key in [0u64, 255, 256, 1 << 40, u64::MAX] {
+            let want: Vec<u8> = (0..300usize)
+                .map(|i| ((key as usize).wrapping_mul(31).wrapping_add(i * 7) & 0xFF) as u8)
+                .collect();
+            assert_eq!(gen.value_for(key), want, "key {key}");
+        }
+    }
+
+    #[test]
+    fn load_keys_are_strictly_ascending() {
+        let gen = YcsbGenerator::new(YcsbConfig::small());
+        let keys: Vec<u64> = gen.load_keys().map(|(k, _)| k).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

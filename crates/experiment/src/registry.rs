@@ -238,7 +238,7 @@ impl AppBuilder for SuiteApp {
     fn build_cluster(&self, shards: usize, replication: usize, scale: Scale) -> ClusterApp {
         match self.0 {
             // xapian really partitions: each shard indexes a slice of one shared
-            // corpus (global doc ids), replicas re-index the same slice.
+            // corpus (global doc ids), its replicas share that leaf's `Arc`.
             AppId::Xapian => build_xapian_cluster(shards, replication, scale),
             _ => full_copy_cluster(self, shards, replication, scale),
         }
@@ -418,7 +418,8 @@ pub fn build_app(id: AppId, scale: Scale) -> BenchApp {
 }
 
 /// Builds a replicated xapian search cluster over one shared corpus: leaves in
-/// shard-major order, each shard's replicas indexing the same document partition.
+/// shard-major order, one immutable leaf index per document partition, its `Arc`
+/// shared by the shard's replicas.
 fn build_xapian_cluster(shards: usize, replication: usize, scale: Scale) -> ClusterApp {
     use tailbench_search::{SearchRequestFactory, XapianApp};
     use tailbench_workloads::text::{CorpusConfig, SyntheticCorpus};
@@ -435,9 +436,8 @@ fn build_xapian_cluster(shards: usize, replication: usize, scale: Scale) -> Clus
     let shards = shards.max(1);
     let instances = (0..shards)
         .flat_map(|s| {
-            (0..replication.max(1))
-                .map(|_| Arc::new(XapianApp::leaf(&corpus, s, shards)) as Arc<dyn ServerApp>)
-                .collect::<Vec<_>>()
+            let leaf: Arc<dyn ServerApp> = Arc::new(XapianApp::leaf(&corpus, s, shards));
+            std::iter::repeat_n(leaf, replication.max(1))
         })
         .collect();
     ClusterApp {
@@ -471,8 +471,8 @@ pub fn build_search_cluster(shards: usize, scale: Scale) -> SearchCluster {
 }
 
 /// Builds a replicated search cluster: `shards * replication` xapian leaves in
-/// shard-major order (replicas of a shard index the same document partition), the
-/// layout `ClusterConfig::with_replication` expects.
+/// shard-major order (a shard's replicas share one leaf over its document
+/// partition), the layout `ClusterConfig::with_replication` expects.
 #[must_use]
 pub fn build_replicated_search_cluster(
     shards: usize,
@@ -558,6 +558,15 @@ mod tests {
         assert_eq!(cluster.instances.len(), 4);
         // Replicas of a shard are the same Arc (same data), shards are distinct.
         assert!(Arc::ptr_eq(&cluster.instances[0], &cluster.instances[1]));
+        assert!(!Arc::ptr_eq(&cluster.instances[0], &cluster.instances[2]));
+        // xapian partitions instead of copying, with the same sharing.
+        let cluster = registry
+            .get("xapian")
+            .unwrap()
+            .build_cluster(2, 2, Scale::Smoke);
+        assert_eq!(cluster.instances.len(), 4);
+        assert!(Arc::ptr_eq(&cluster.instances[0], &cluster.instances[1]));
+        assert!(Arc::ptr_eq(&cluster.instances[2], &cluster.instances[3]));
         assert!(!Arc::ptr_eq(&cluster.instances[0], &cluster.instances[2]));
     }
 }

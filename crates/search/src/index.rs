@@ -70,12 +70,17 @@ impl Default for Bm25Params {
 /// An index can cover the whole corpus or a document partition of it (a *leaf* in the
 /// partition-aggregate pattern, built with [`InvertedIndex::build_partition`]): leaves
 /// keep global document ids, so the root can merge per-leaf top-k lists directly.
+///
+/// All postings live in one flat vector: term `t`'s list is
+/// `postings[starts[t]..starts[t + 1]]`, in ascending document order.
 #[derive(Debug)]
 pub struct InvertedIndex {
-    postings: Vec<Vec<Posting>>,
-    doc_lengths: Vec<u32>,
+    postings: Vec<Posting>,
+    starts: Vec<usize>,
+    /// BM25's length term `k1 * (1 - b + b * dl / avgdl)` per document, indexed by
+    /// global id, so a posting is scored without remapping ids.
+    length_norms: Vec<f32>,
     owned_documents: usize,
-    avg_doc_length: f32,
     params: Bm25Params,
 }
 
@@ -106,40 +111,62 @@ impl InvertedIndex {
         })
     }
 
+    /// A counting sort by term over the owned documents: one pass counts each term's
+    /// document frequency, a prefix sum places the lists, and a second pass fills them.
+    /// Documents are visited in id order, so every list comes out in ascending id order.
     fn build_filtered(
         corpus: &SyntheticCorpus,
         params: Bm25Params,
         owns: impl Fn(u32) -> bool,
     ) -> Self {
         let vocab = corpus.config().vocabulary;
-        let mut postings: Vec<Vec<Posting>> = vec![Vec::new(); vocab];
-        // Lengths are kept for every document (indexed by global id) so owned postings
-        // can be scored without remapping ids; only owned documents get postings.
-        let mut doc_lengths = Vec::with_capacity(corpus.documents().len());
+        let owns = &owns;
+        let owned = || corpus.documents().iter().filter(move |doc| owns(doc.id));
+        // Document frequencies: a term counts once per document, the first time it is
+        // seen there.
+        let mut last_doc = vec![u32::MAX; vocab];
+        let mut df = vec![0usize; vocab];
         let mut owned_documents = 0usize;
         let mut owned_len = 0u64;
-        for doc in corpus.documents() {
-            doc_lengths.push(doc.terms.len() as u32);
-            if !owns(doc.id) {
-                continue;
-            }
+        for doc in owned() {
             owned_documents += 1;
             owned_len += doc.terms.len() as u64;
-            // Count term frequencies within the document.
-            let mut sorted = doc.terms.clone();
-            sorted.sort_unstable();
-            let mut i = 0;
-            while i < sorted.len() {
-                let term = sorted[i];
-                let mut j = i;
-                while j < sorted.len() && sorted[j] == term {
-                    j += 1;
+            for &term in &doc.terms {
+                let t = term as usize;
+                df[t] += usize::from(last_doc[t] != doc.id);
+                last_doc[t] = doc.id;
+            }
+        }
+        let mut starts = Vec::with_capacity(vocab + 1);
+        let mut total = 0;
+        starts.push(total);
+        for &n in &df {
+            total += n;
+            starts.push(total);
+        }
+        // Fill: a term's cursor sits one past its last posting, which belongs to the
+        // current document exactly when the term has occurred in it already.
+        let mut postings = vec![
+            Posting {
+                doc_id: 0,
+                term_freq: 0,
+            };
+            total
+        ];
+        let mut cursor = starts[..vocab].to_vec();
+        for doc in owned() {
+            for &term in &doc.terms {
+                let t = term as usize;
+                let at = cursor[t];
+                if at > starts[t] && postings[at - 1].doc_id == doc.id {
+                    postings[at - 1].term_freq += 1;
+                } else {
+                    postings[at] = Posting {
+                        doc_id: doc.id,
+                        term_freq: 1,
+                    };
+                    cursor[t] = at + 1;
                 }
-                postings[term as usize].push(Posting {
-                    doc_id: doc.id,
-                    term_freq: (j - i) as u32,
-                });
-                i = j;
             }
         }
         let avg_doc_length = if owned_documents == 0 {
@@ -147,13 +174,28 @@ impl InvertedIndex {
         } else {
             owned_len as f32 / owned_documents as f32
         };
+        let length_norms = corpus
+            .documents()
+            .iter()
+            .map(|doc| {
+                let dl = doc.terms.len() as f32;
+                params.k1 * (1.0 - params.b + params.b * dl / avg_doc_length)
+            })
+            .collect();
         InvertedIndex {
             postings,
-            doc_lengths,
+            starts,
+            length_norms,
             owned_documents,
-            avg_doc_length,
             params,
         }
+    }
+
+    /// A term's postings list; `None` for terms outside the vocabulary.
+    fn term_postings(&self, term: u32) -> Option<&[Posting]> {
+        let t = term as usize;
+        let end = *self.starts.get(t + 1)?;
+        self.postings.get(self.starts[t]..end)
     }
 
     /// Number of indexed (owned) documents.
@@ -165,13 +207,13 @@ impl InvertedIndex {
     /// Number of distinct terms with at least one posting.
     #[must_use]
     pub fn num_terms(&self) -> usize {
-        self.postings.iter().filter(|p| !p.is_empty()).count()
+        self.starts.windows(2).filter(|w| w[1] > w[0]).count()
     }
 
     /// Length of a term's postings list (0 for unknown terms).
     #[must_use]
     pub fn postings_len(&self, term: u32) -> usize {
-        self.postings.get(term as usize).map_or(0, Vec::len)
+        self.term_postings(term).map_or(0, <[Posting]>::len)
     }
 
     /// BM25 inverse document frequency of a term.
@@ -183,42 +225,54 @@ impl InvertedIndex {
     }
 
     /// Evaluates a disjunctive (OR) query and returns the top `k` documents by BM25
-    /// score, in descending score order.  Also returns the number of postings scanned,
-    /// which the service layer uses for its work profile.
+    /// score, ordered by [`SearchHit`]'s `Ord` (descending score, ties by ascending
+    /// document id).  Also returns the number of postings scanned, which the service
+    /// layer uses for its work profile.
     #[must_use]
     pub fn search(&self, terms: &[u32], k: usize) -> (Vec<SearchHit>, usize) {
-        use std::collections::HashMap;
         // No query can return more hits than there are documents.
         let k = k.min(self.num_documents());
-        let mut scores: HashMap<u32, f32> = HashMap::new();
+        // Scores accumulate per global document id in term-then-posting order.  Every
+        // score is strictly positive (idf = ln(1 + x) with x > 0, tf >= 1; in f32,
+        // 1 + x > 1 while the leaf holds fewer than 2^23 documents), so a zero
+        // accumulator marks a document not touched yet.
+        let mut scores = vec![0.0f32; self.length_norms.len()];
+        let mut touched: Vec<u32> = Vec::new();
         let mut scanned = 0usize;
         for &term in terms {
-            let Some(postings) = self.postings.get(term as usize) else {
+            let Some(postings) = self.term_postings(term) else {
                 continue;
             };
             let idf = self.idf(term);
+            scanned += postings.len();
             for posting in postings {
-                scanned += 1;
-                let dl = self.doc_lengths[posting.doc_id as usize] as f32;
+                let doc = posting.doc_id as usize;
                 let tf = posting.term_freq as f32;
-                let denom = tf
-                    + self.params.k1
-                        * (1.0 - self.params.b + self.params.b * dl / self.avg_doc_length);
+                let denom = tf + self.length_norms[doc];
                 let score = idf * tf * (self.params.k1 + 1.0) / denom;
-                *scores.entry(posting.doc_id).or_insert(0.0) += score;
+                if scores[doc] == 0.0 {
+                    touched.push(posting.doc_id);
+                }
+                scores[doc] += score;
             }
         }
-        // Bounded top-k selection with a max-heap over `SearchHit`'s reverse ordering.
-        let mut heap: BinaryHeap<SearchHit> = BinaryHeap::with_capacity((k + 1).min(4_096));
-        for (doc_id, score) in scores {
-            heap.push(SearchHit { doc_id, score });
-            if heap.len() > k {
-                heap.pop();
+        // Bounded top-k selection: the heap's maximum is the worst hit kept so far, and
+        // a candidate replaces it only if it ranks strictly better.
+        let mut heap: BinaryHeap<SearchHit> = BinaryHeap::with_capacity(k.min(touched.len()));
+        for doc_id in touched {
+            let hit = SearchHit {
+                doc_id,
+                score: scores[doc_id as usize],
+            };
+            if heap.len() < k {
+                heap.push(hit);
+            } else if let Some(mut worst) = heap.peek_mut() {
+                if hit < *worst {
+                    *worst = hit;
+                }
             }
         }
-        let mut hits: Vec<SearchHit> = heap.into_vec();
-        hits.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal));
-        (hits, scanned)
+        (heap.into_sorted_vec(), scanned)
     }
 }
 
@@ -362,6 +416,24 @@ mod tests {
     }
 
     #[test]
+    fn equal_scores_rank_by_document_id() {
+        let (_, index) = index();
+        // The most popular term alone: every document of the same length and term
+        // frequency scores the same, so the full ranking is full of ties.
+        let (hits, _) = index.search(&[0], index.num_documents());
+        let ties = hits.windows(2).filter(|w| w[0].score == w[1].score).count();
+        assert!(ties > hits.len() / 4, "{ties} ties in {} hits", hits.len());
+        assert!(hits
+            .windows(2)
+            .all(|w| w[0].score > w[1].score
+                || (w[0].score == w[1].score && w[0].doc_id < w[1].doc_id)));
+        // Truncating the ranking keeps the lowest ids of the last score tier.
+        for k in [1, 10, 50] {
+            assert_eq!(index.search(&[0], k).0, hits[..k]);
+        }
+    }
+
+    #[test]
     fn query_cost_scales_with_term_popularity() {
         let (_, index) = index();
         let (_, scanned_popular) = index.search(&[0], 10);
@@ -389,6 +461,182 @@ mod proptests {
             for (a, b) in top_k.iter().zip(full.iter()) {
                 prop_assert!((a.score - b.score).abs() < 1e-4);
             }
+        }
+    }
+}
+
+/// The original postings-list-per-term index and hash-map search, kept as an oracle for
+/// the flat index: same lists, same scanned counts, same hit sets with identical scores.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+    use tailbench_workloads::text::{CorpusConfig, SyntheticCorpus};
+
+    struct ReferenceIndex {
+        postings: Vec<Vec<Posting>>,
+        doc_lengths: Vec<u32>,
+        owned_documents: usize,
+        avg_doc_length: f32,
+        params: Bm25Params,
+    }
+
+    impl ReferenceIndex {
+        fn build(corpus: &SyntheticCorpus, owns: impl Fn(u32) -> bool) -> Self {
+            let params = Bm25Params::default();
+            let mut postings: Vec<Vec<Posting>> = vec![Vec::new(); corpus.config().vocabulary];
+            let mut doc_lengths = Vec::with_capacity(corpus.documents().len());
+            let mut owned_documents = 0usize;
+            let mut owned_len = 0u64;
+            for doc in corpus.documents() {
+                doc_lengths.push(doc.terms.len() as u32);
+                if !owns(doc.id) {
+                    continue;
+                }
+                owned_documents += 1;
+                owned_len += doc.terms.len() as u64;
+                let mut sorted = doc.terms.clone();
+                sorted.sort_unstable();
+                let mut i = 0;
+                while i < sorted.len() {
+                    let term = sorted[i];
+                    let mut j = i;
+                    while j < sorted.len() && sorted[j] == term {
+                        j += 1;
+                    }
+                    postings[term as usize].push(Posting {
+                        doc_id: doc.id,
+                        term_freq: (j - i) as u32,
+                    });
+                    i = j;
+                }
+            }
+            let avg_doc_length = if owned_documents == 0 {
+                1.0
+            } else {
+                owned_len as f32 / owned_documents as f32
+            };
+            ReferenceIndex {
+                postings,
+                doc_lengths,
+                owned_documents,
+                avg_doc_length,
+                params,
+            }
+        }
+
+        fn num_terms(&self) -> usize {
+            self.postings.iter().filter(|p| !p.is_empty()).count()
+        }
+
+        fn postings_len(&self, term: u32) -> usize {
+            self.postings.get(term as usize).map_or(0, Vec::len)
+        }
+
+        fn idf(&self, term: u32) -> f32 {
+            let n = self.owned_documents as f32;
+            let df = self.postings_len(term) as f32;
+            ((n - df + 0.5) / (df + 0.5) + 1.0).ln()
+        }
+
+        /// Top `k` hits in `SearchHit` order (the hash map's iteration order only
+        /// permuted equal scores, never the selected set).
+        fn search(&self, terms: &[u32], k: usize) -> (Vec<SearchHit>, usize) {
+            let k = k.min(self.owned_documents);
+            let mut scores: HashMap<u32, f32> = HashMap::new();
+            let mut scanned = 0usize;
+            for &term in terms {
+                let Some(postings) = self.postings.get(term as usize) else {
+                    continue;
+                };
+                let idf = self.idf(term);
+                for posting in postings {
+                    scanned += 1;
+                    let dl = self.doc_lengths[posting.doc_id as usize] as f32;
+                    let tf = posting.term_freq as f32;
+                    let denom = tf
+                        + self.params.k1
+                            * (1.0 - self.params.b + self.params.b * dl / self.avg_doc_length);
+                    let score = idf * tf * (self.params.k1 + 1.0) / denom;
+                    *scores.entry(posting.doc_id).or_insert(0.0) += score;
+                }
+            }
+            let mut heap: BinaryHeap<SearchHit> = BinaryHeap::new();
+            for (doc_id, score) in scores {
+                heap.push(SearchHit { doc_id, score });
+                if heap.len() > k {
+                    heap.pop();
+                }
+            }
+            (heap.into_sorted_vec(), scanned)
+        }
+    }
+
+    fn check_against(
+        index: &InvertedIndex,
+        oracle: &ReferenceIndex,
+        queries: &[(Vec<u32>, usize)],
+    ) -> Result<(), String> {
+        prop_assert_eq!(index.num_terms(), oracle.num_terms());
+        for term in 0..=oracle.postings.len() as u32 {
+            let expected = oracle
+                .postings
+                .get(term as usize)
+                .map_or(&[][..], Vec::as_slice);
+            prop_assert_eq!(index.term_postings(term).unwrap_or_default(), expected);
+            prop_assert_eq!(index.postings_len(term), oracle.postings_len(term));
+            prop_assert_eq!(index.idf(term).to_bits(), oracle.idf(term).to_bits());
+        }
+        for (terms, k) in queries {
+            let (hits, scanned) = index.search(terms, *k);
+            let (expected, expected_scanned) = oracle.search(terms, *k);
+            prop_assert_eq!(scanned, expected_scanned);
+            let bits = |hits: &[SearchHit]| -> Vec<(u32, u32)> {
+                hits.iter().map(|h| (h.doc_id, h.score.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&hits), bits(&expected));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn flat_index_matches_the_reference(
+            queries in prop::collection::vec(
+                (
+                    prop::collection::vec(
+                        // Popular terms (often duplicated), the whole vocabulary and
+                        // a little beyond it, and the largest ids.
+                        prop_oneof![0u32..8, 0u32..2_050, u32::MAX - 1..=u32::MAX],
+                        1..7,
+                    ),
+                    (0usize..4).prop_map(|i| [0, 1, 10, 1_000][i]),
+                ),
+                8..9,
+            ),
+            documents in 1usize..300,
+            seed in 0u64..1_000,
+            shards in 1usize..5,
+            shard in 0usize..4,
+        ) {
+            let corpus = SyntheticCorpus::generate(CorpusConfig {
+                documents,
+                seed,
+                ..CorpusConfig::small()
+            });
+            check_against(
+                &InvertedIndex::build(&corpus),
+                &ReferenceIndex::build(&corpus, |_| true),
+                &queries,
+            )?;
+            let shard = shard % shards;
+            check_against(
+                &InvertedIndex::build_partition(&corpus, shard, shards),
+                &ReferenceIndex::build(&corpus, |doc_id| doc_id as usize % shards == shard),
+                &queries,
+            )?;
         }
     }
 }

@@ -280,6 +280,20 @@ mod tests {
     }
 
     #[test]
+    fn separately_built_leaves_answer_byte_for_byte() {
+        let corpus = SyntheticCorpus::generate(CorpusConfig::small());
+        let a = XapianApp::leaf(&corpus, 1, 2);
+        let b = XapianApp::leaf(&corpus, 1, 2);
+        // Popular terms and a large k: many equal-score hits, ranked by document id.
+        let query = codec::encode_query(&[0, 0, 1], 200);
+        let payload = a.handle(&query).payload;
+        assert_eq!(payload, b.handle(&query).payload);
+        let hits = codec::decode_results(&payload).unwrap();
+        assert!(hits.windows(2).any(|w| w[0].score == w[1].score));
+        assert!(hits.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
     fn leaf_cluster_through_harness_fans_out() {
         use std::sync::Arc;
         use tailbench_core::config::BenchmarkConfig;
